@@ -47,18 +47,27 @@ DynamicSimulation::DynamicSimulation(const Topology& mesh, FaultTimeline timelin
                         options_.router_config);
 }
 
+const InfoProvider& DynamicSimulation::info_provider() const {
+  switch (options_.info_mode) {
+    case InfoMode::kNone: return empty_provider_;
+    case InfoMode::kInstantGlobal: return instant_provider_;
+    case InfoMode::kDelayedGlobal: return *delayed_provider_;
+    case InfoMode::kLimitedGlobal: break;
+  }
+  return limited_provider_;
+}
+
 RoutingContext DynamicSimulation::context() const {
   RoutingContext ctx;
   ctx.mesh = mesh_;
   ctx.field = &model_.field();
   ctx.links = &link_faults_;
-  switch (options_.info_mode) {
-    case InfoMode::kLimitedGlobal: ctx.info = &limited_provider_; break;
-    case InfoMode::kNone: ctx.info = &empty_provider_; break;
-    case InfoMode::kInstantGlobal: ctx.info = &instant_provider_; break;
-    case InfoMode::kDelayedGlobal: ctx.info = delayed_provider_.get(); break;
-  }
+  ctx.info = &info_provider();
   return ctx;
+}
+
+uint64_t DynamicSimulation::environment_version() const {
+  return model_.field().version() + link_faults_.version() + info_provider().version();
 }
 
 int DynamicSimulation::launch_message(const Coord& source, const Coord& dest) {
@@ -69,6 +78,7 @@ int DynamicSimulation::launch_message(const Coord& source, const Coord& dest) {
   // Occurrences that already happened have D(i) = D (message at source).
   msg.distance_at_occurrence.assign(occurrences_.size(), msg.initial_distance);
   messages_.push_back(std::move(msg));
+  memo_.emplace_back();
   ++active_messages_;
   switching_->add_packet(messages_.back().id, mesh_->index_of(source));
   return messages_.back().id;
@@ -127,12 +137,13 @@ void DynamicSimulation::apply_fault_events(StepContext& ctx) {
   converging_ = static_cast<int>(occurrences_.size()) - 1;
   ctx.occurrence_opened = true;
 
-  // Record D(i) for every in-flight message at this occurrence.
+  // Record D(i) for every in-flight message at this occurrence.  Delivered
+  // and unreachable messages get no entry (their D(i) is 0, read from the
+  // missing tail); budget-exhausted ones keep their real distance.
   for (auto& msg : messages_) {
-    const int d = (msg.delivered || msg.unreachable)
-                      ? 0
-                      : mesh_->min_hops(msg.header.current(), msg.header.destination());
-    msg.distance_at_occurrence.push_back(d);
+    if (msg.delivered || msg.unreachable) continue;
+    msg.distance_at_occurrence.push_back(
+        mesh_->min_hops(msg.header.current(), msg.header.destination()));
   }
 
   if (options_.info_mode == InfoMode::kInstantGlobal) {
@@ -189,8 +200,37 @@ void DynamicSimulation::finish_message(MessageProgress& msg, StepContext& ctx) {
 // header mutation, budget enforcement and per-message accounting stays here.
 
 SwitchDecision DynamicSimulation::decide(int id) {
-  MessageProgress& msg = messages_[static_cast<size_t>(id)];
-  const RouteDecision d = router_->decide(step_ctx_->routing, msg.header);
+  // A decision reads only the header and the node-local view, so it stands
+  // until one of them changes: a probe stalled behind a busy channel or VC
+  // faces the same decision every step and pays the router once (DESIGN.md
+  // §8).  The version sums make the key check O(1).
+  const MessageProgress& msg = messages_[static_cast<size_t>(id)];
+  DecisionMemo& memo = memo_[static_cast<size_t>(id)];
+  if (memo.env_version != step_env_version_ || memo.header_version != msg.header.version()) {
+    memo.decision = router_->decide(step_ctx_->routing, msg.header);
+    memo.env_version = step_env_version_;
+    memo.header_version = msg.header.version();
+    ++router_decisions_;
+  }
+  return to_switch_decision(msg, memo.decision);
+}
+
+std::optional<SwitchDecision> DynamicSimulation::memoized_decision(int id) const {
+  const MessageProgress& msg = messages_[static_cast<size_t>(id)];
+  const DecisionMemo& memo = memo_[static_cast<size_t>(id)];
+  if (memo.env_version != environment_version() ||
+      memo.header_version != msg.header.version())
+    return std::nullopt;
+  return to_switch_decision(msg, memo.decision);
+}
+
+SwitchDecision DynamicSimulation::fresh_decision(int id) {
+  const MessageProgress& msg = messages_[static_cast<size_t>(id)];
+  return to_switch_decision(msg, router_->decide(context(), msg.header));
+}
+
+SwitchDecision DynamicSimulation::to_switch_decision(const MessageProgress& msg,
+                                                     const RouteDecision& d) const {
   SwitchDecision out;
   switch (d.action) {
     case RouteAction::kDelivered: out.action = SwitchAction::kDeliver; break;
@@ -272,6 +312,7 @@ uint64_t DynamicSimulation::field_version() const {
 
 void DynamicSimulation::arbitrate_and_advance(StepContext& ctx) {
   ctx.routing = context();
+  step_env_version_ = environment_version();
   step_ctx_ = &ctx;
   switching_->advance_step(*this, arbiter_.get());
   step_ctx_ = nullptr;

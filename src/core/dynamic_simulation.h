@@ -32,6 +32,7 @@
 // (identification), c_i (boundary), e_max, and per-message D(i) snapshots.
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "src/core/network.h"
@@ -91,8 +92,10 @@ struct MessageProgress {
   /// destination (delivery happens when the tail ejects); -1 under ideal
   /// switching, where head arrival *is* delivery.
   long long head_arrival_step = -1;
-  /// D(i) at each fault occurrence (Theorem 3's measured trajectory);
-  /// parallel to occurrence_steps() of the simulation.
+  /// D(i) at each fault occurrence (Theorem 3's measured trajectory),
+  /// parallel to occurrences() of the simulation.  Entries stop once the
+  /// message is delivered or unreachable — its D(i) is 0 from then on — so
+  /// readers treat a missing trailing entry as 0.
   std::vector<int> distance_at_occurrence;
 
   /// `min_distance` is the topology's fault-free min_hops(s, d) — the
@@ -194,6 +197,16 @@ class DynamicSimulation final : public SwitchingHost {
     return arbiter_ ? arbiter_->total_stalled() : 0;
   }
 
+  /// Router invocations so far: the decide() calls the per-message decision
+  /// memo could not answer (DESIGN.md §8).
+  [[nodiscard]] long long router_decisions() const { return router_decisions_; }
+
+  /// Memo soundness hooks (tests): the memoized decision for message `id`
+  /// if its key matches the current header and environment, else nullopt;
+  /// and a from-scratch decision that neither reads nor writes the memo.
+  [[nodiscard]] std::optional<SwitchDecision> memoized_decision(int id) const;
+  [[nodiscard]] SwitchDecision fresh_decision(int id);
+
   /// The switching model executing the advance phase (DESIGN.md §10).
   [[nodiscard]] const SwitchingModel& switching() const { return *switching_; }
   [[nodiscard]] SwitchingModel& switching() { return *switching_; }
@@ -214,7 +227,25 @@ class DynamicSimulation final : public SwitchingHost {
   [[nodiscard]] uint64_t field_version() const override;
 
  private:
+  /// One router answer per message, valid while the header version and the
+  /// environment version it was computed under both stand (DESIGN.md §8).
+  /// A side array rather than a MessageProgress field: the D(i) sweep walks
+  /// every MessageProgress, and keeping that struct small keeps it fast.
+  struct DecisionMemo {
+    uint64_t env_version = ~0ull;  ///< never a real version: starts empty
+    uint32_t header_version = 0;
+    RouteDecision decision;
+  };
+  static_assert(sizeof(DecisionMemo) <= 16, "the memo costs at most 16 B per message");
+
+  [[nodiscard]] const InfoProvider& info_provider() const;
   [[nodiscard]] RoutingContext context() const;
+  /// Sum of the monotone counters behind everything a decision reads besides
+  /// the header — node statuses, link faults, block information — so it
+  /// strictly increases on any change the router could observe.
+  [[nodiscard]] uint64_t environment_version() const;
+  [[nodiscard]] SwitchDecision to_switch_decision(const MessageProgress& msg,
+                                                  const RouteDecision& d) const;
   void finish_message(MessageProgress& msg, StepContext& ctx);
 
   const Topology* mesh_;
@@ -231,6 +262,7 @@ class DynamicSimulation final : public SwitchingHost {
   std::unique_ptr<LinkArbiter> arbiter_;  ///< present iff switching_->arbitrated()
 
   std::vector<MessageProgress> messages_;
+  std::vector<DecisionMemo> memo_;  ///< indexed by message id
   std::vector<OccurrenceRecord> occurrences_;
   long long now_ = 0;
   long long active_messages_ = 0;
@@ -239,6 +271,10 @@ class DynamicSimulation final : public SwitchingHost {
   int converging_ = -1;
   /// Host-callback context, valid only inside arbitrate_and_advance.
   StepContext* step_ctx_ = nullptr;
+  /// environment_version() for the current advance phase: nothing a
+  /// decision reads changes while the switching model runs.
+  uint64_t step_env_version_ = 0;
+  long long router_decisions_ = 0;
   long long step_budget_ = 0;
 };
 

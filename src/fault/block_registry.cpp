@@ -17,6 +17,7 @@ bool InfoStore::deposit(NodeId node, const BlockInfo& info, const Provenance& pr
       if (info.epoch > infos[i].epoch) {
         infos[i].epoch = info.epoch;
         changed = true;
+        ++version_;
       }
       // Upgrade to the stronger justification.
       if (static_cast<uint8_t>(prov.via) < static_cast<uint8_t>(provs[i].via))
@@ -26,6 +27,7 @@ bool InfoStore::deposit(NodeId node, const BlockInfo& info, const Provenance& pr
   }
   infos.push_back(info);
   provs.push_back(prov);
+  ++version_;
   return true;
 }
 
@@ -36,6 +38,7 @@ bool InfoStore::cancel(NodeId node, const Box& box, uint32_t epoch) {
     if (infos[i].box == box && infos[i].epoch <= epoch) {
       infos.erase(infos.begin() + static_cast<std::ptrdiff_t>(i));
       provs.erase(provs.begin() + static_cast<std::ptrdiff_t>(i));
+      ++version_;
       return true;
     }
   }
@@ -43,13 +46,16 @@ bool InfoStore::cancel(NodeId node, const Box& box, uint32_t epoch) {
 }
 
 void InfoStore::clear_node(NodeId node) {
-  infos_[static_cast<size_t>(node)].clear();
+  auto& infos = infos_[static_cast<size_t>(node)];
+  if (infos.empty()) return;
+  infos.clear();
   provs_[static_cast<size_t>(node)].clear();
+  ++version_;
 }
 
 void InfoStore::clear() {
-  for (auto& v : infos_) v.clear();
-  for (auto& v : provs_) v.clear();
+  for (size_t node = 0; node < infos_.size(); ++node)
+    clear_node(static_cast<NodeId>(node));
 }
 
 bool InfoStore::holds(NodeId node, const Box& box) const {

@@ -89,10 +89,16 @@ class InfoStore {
   /// capacity).  O(N) — bench/reporting use only.
   [[nodiscard]] long long memory_bytes() const;
 
+  /// Monotone counter of real changes to the stored block infos (deposits
+  /// of a new box or newer epoch, cancels, clears of non-empty nodes);
+  /// provenance-only upgrades do not count, since routing never reads them.
+  [[nodiscard]] uint64_t version() const { return version_; }
+
  private:
   // Parallel per-node vectors (infos_ stays contiguous for InfoProvider).
   std::vector<std::vector<BlockInfo>> infos_;
   std::vector<std::vector<Provenance>> provs_;
+  uint64_t version_ = 0;
 };
 
 }  // namespace lgfi

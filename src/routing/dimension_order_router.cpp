@@ -2,7 +2,7 @@
 
 namespace lgfi {
 
-RouteDecision DimensionOrderRouter::decide(const RoutingContext& ctx, RoutingHeader& header) {
+RouteDecision DimensionOrderRouter::decide(const RoutingContext& ctx, const RoutingHeader& header) {
   const Coord& u = header.current();
   const Coord& dest = header.destination();
   if (u == dest) return RouteDecision{RouteAction::kDelivered};

@@ -18,7 +18,7 @@ class DimensionOrderRouter final : public Router {
   explicit DimensionOrderRouter(bool strict = true) : strict_(strict) {}
 
   [[nodiscard]] RouteDecision decide(const RoutingContext& ctx,
-                                     RoutingHeader& header) override;
+                                     const RoutingHeader& header) override;
   [[nodiscard]] std::string name() const override { return "dimension-order"; }
 
  private:

@@ -19,14 +19,6 @@ const char* to_string(DirectionClass c) {
   return "?";
 }
 
-bool touches_block(const RoutingContext& ctx, const Coord& u) {
-  bool touch = false;
-  ctx.mesh->for_each_neighbor(u, [&](Direction, const Coord& nb) {
-    if (is_block_member(ctx.field->at(nb))) touch = true;
-  });
-  return touch;
-}
-
 namespace {
 
 /// Dimensions (other than dir.dim()) in which u touches a block member.

@@ -76,8 +76,4 @@ std::vector<ClassifiedDirection> ordered_candidates(const RoutingContext& ctx, c
                                                     Direction incoming,
                                                     const DirectionPolicyOptions& opts);
 
-/// True iff node `u` currently touches some faulty block (has a block-member
-/// neighbour) — the precondition for the spare-along-block class.
-bool touches_block(const RoutingContext& ctx, const Coord& u);
-
 }  // namespace lgfi

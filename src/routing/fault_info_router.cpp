@@ -5,7 +5,7 @@ namespace lgfi {
 FaultInfoRouter::FaultInfoRouter(FaultInfoRouterOptions options)
     : options_(std::move(options)) {}
 
-RouteDecision FaultInfoRouter::decide(const RoutingContext& ctx, RoutingHeader& header) {
+RouteDecision FaultInfoRouter::decide(const RoutingContext& ctx, const RoutingHeader& header) {
   const Coord& u = header.current();
 
   if (u == header.destination()) return RouteDecision{RouteAction::kDelivered};

@@ -31,7 +31,7 @@ class FaultInfoRouter final : public Router {
   explicit FaultInfoRouter(FaultInfoRouterOptions options = {});
 
   [[nodiscard]] RouteDecision decide(const RoutingContext& ctx,
-                                     RoutingHeader& header) override;
+                                     const RoutingHeader& header) override;
   [[nodiscard]] std::string name() const override { return options_.name; }
 
   [[nodiscard]] const FaultInfoRouterOptions& options() const { return options_; }

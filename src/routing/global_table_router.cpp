@@ -21,7 +21,11 @@ void DelayedGlobalInfoProvider::advance(long long now) {
       const long long arrival =
           it->published_at + mesh_->min_hops(it->origin, mesh_->coord_of(id));
       if (arrival <= now_) {
-        visible_[static_cast<size_t>(id)] = it->blocks;
+        auto& visible = visible_[static_cast<size_t>(id)];
+        if (visible != it->blocks) {
+          visible = it->blocks;
+          ++version_;
+        }
       } else {
         fully_visible = false;
       }

@@ -21,12 +21,19 @@ class GlobalInfoProvider final : public InfoProvider {
   GlobalInfoProvider() = default;
   explicit GlobalInfoProvider(std::vector<BlockInfo> blocks) : blocks_(std::move(blocks)) {}
 
-  void set_blocks(std::vector<BlockInfo> blocks) { blocks_ = std::move(blocks); }
+  /// Replaces the list; bumps version() only on a real change.
+  void set_blocks(std::vector<BlockInfo> blocks) {
+    if (blocks == blocks_) return;
+    blocks_ = std::move(blocks);
+    ++version_;
+  }
 
   [[nodiscard]] std::span<const BlockInfo> info_at(NodeId) const override { return blocks_; }
+  [[nodiscard]] uint64_t version() const override { return version_; }
 
  private:
   std::vector<BlockInfo> blocks_;
+  uint64_t version_ = 0;
 };
 
 /// Per-node visibility with broadcast latency: an update committed at step t
@@ -48,6 +55,8 @@ class DelayedGlobalInfoProvider final : public InfoProvider {
   [[nodiscard]] bool wave_in_flight() const { return !pending_.empty(); }
 
   [[nodiscard]] std::span<const BlockInfo> info_at(NodeId node) const override;
+  /// Counts reveals that changed a node's visible list.
+  [[nodiscard]] uint64_t version() const override { return version_; }
 
   /// Nodes holding at least one entry (memory metric).
   [[nodiscard]] long long nodes_with_info() const;
@@ -64,6 +73,7 @@ class DelayedGlobalInfoProvider final : public InfoProvider {
   std::vector<std::vector<BlockInfo>> visible_;  ///< per node
   std::vector<Pending> pending_;
   long long now_ = 0;
+  uint64_t version_ = 0;
 };
 
 /// Algorithm 3 configured as the routing-table baseline (pair with one of

@@ -55,7 +55,7 @@ std::string OracleRouter::name() const {
   return avoid_ == OracleAvoid::kFaultyOnly ? "oracle-faulty-only" : "oracle-blocks";
 }
 
-RouteDecision OracleRouter::decide(const RoutingContext& ctx, RoutingHeader& header) {
+RouteDecision OracleRouter::decide(const RoutingContext& ctx, const RoutingHeader& header) {
   const Coord& u = header.current();
   if (u == header.destination()) return RouteDecision{RouteAction::kDelivered};
 

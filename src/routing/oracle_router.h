@@ -31,7 +31,7 @@ class OracleRouter final : public Router {
   explicit OracleRouter(OracleAvoid avoid = OracleAvoid::kBlockMembers);
 
   [[nodiscard]] RouteDecision decide(const RoutingContext& ctx,
-                                     RoutingHeader& header) override;
+                                     const RoutingHeader& header) override;
   [[nodiscard]] std::string name() const override;
 
   /// Invalidate the cached BFS trees (the environment changed).  decide()

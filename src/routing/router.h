@@ -26,12 +26,16 @@ class InfoProvider {
   virtual ~InfoProvider() = default;
   /// Block infos visible at `node` right now.
   [[nodiscard]] virtual std::span<const BlockInfo> info_at(NodeId node) const = 0;
+  /// Monotone change counter: strictly increases whenever info_at() changes
+  /// at any node (same contract as StatusField::version()).
+  [[nodiscard]] virtual uint64_t version() const = 0;
 };
 
 /// Trivial provider: nobody knows anything (the info-free PCS baseline).
 class EmptyInfoProvider final : public InfoProvider {
  public:
   [[nodiscard]] std::span<const BlockInfo> info_at(NodeId) const override { return {}; }
+  [[nodiscard]] uint64_t version() const override { return 0; }
 };
 
 /// Wraps an InfoStore (the paper's limited-global placement).
@@ -41,6 +45,7 @@ class StoreInfoProvider final : public InfoProvider {
   [[nodiscard]] std::span<const BlockInfo> info_at(NodeId node) const override {
     return store_->at(node);
   }
+  [[nodiscard]] uint64_t version() const override { return store_->version(); }
 
  private:
   const InfoStore* store_;
@@ -75,10 +80,14 @@ class Router {
  public:
   virtual ~Router() = default;
 
-  /// One routing decision at the header's current node.  Must not mutate the
-  /// environment; may record the used direction in the header.
+  /// One routing decision at the header's current node: a pure function of
+  /// the header and the node-local view.  The caller applies the move (the
+  /// header records used directions then), so a caller may memoize the
+  /// result until RoutingHeader::version() or the view's versions change
+  /// (DESIGN.md §8).  A router may keep caches of its own, but no result may
+  /// depend on them.
   [[nodiscard]] virtual RouteDecision decide(const RoutingContext& ctx,
-                                             RoutingHeader& header) = 0;
+                                             const RoutingHeader& header) = 0;
 
   [[nodiscard]] virtual std::string name() const = 0;
 };

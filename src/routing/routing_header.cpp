@@ -23,6 +23,7 @@ void RoutingHeader::forward(Direction d, const Coord& next) {
   }
   path_.push_back(std::move(entry));
   ++forward_steps_;
+  ++version_;
 }
 
 void RoutingHeader::backtrack() {
@@ -35,6 +36,7 @@ void RoutingHeader::backtrack() {
     if (it != marks_.end()) path_.back().used = it->second;
   }
   ++backtrack_steps_;
+  ++version_;
 }
 
 void RoutingHeader::unmark(Direction d) {
@@ -44,6 +46,7 @@ void RoutingHeader::unmark(Direction d) {
     const auto it = marks_.find(path_.back().node);
     if (it != marks_.end()) it->second.erase(d);
   }
+  ++version_;
 }
 
 void RoutingHeader::enable_persistent_marks() { persistent_marks_ = true; }

@@ -11,6 +11,7 @@
 // is the paper's design; the walker enforces a step budget as the safety
 // net, and a persistent-marking variant exists as an ablation (E9).
 
+#include <cstdint>
 #include <unordered_map>
 #include <vector>
 
@@ -60,6 +61,11 @@ class RoutingHeader {
   /// bounds the retries.
   void unmark(Direction d);
 
+  /// Monotone mutation counter: forward, backtrack and unmark each bump it,
+  /// and nothing else changes what a router reads from the header.  Keys the
+  /// per-message decision memo (DESIGN.md §8).
+  [[nodiscard]] uint32_t version() const { return version_; }
+
   // --- accounting (not part of the on-wire header; experiment bookkeeping)
   [[nodiscard]] int forward_steps() const { return forward_steps_; }
   [[nodiscard]] int backtrack_steps() const { return backtrack_steps_; }
@@ -76,6 +82,7 @@ class RoutingHeader {
 
  private:
   Coord destination_;
+  uint32_t version_ = 0;  ///< fills Coord's tail padding: no size cost
   std::vector<PathEntry> path_;
   int forward_steps_ = 0;
   int backtrack_steps_ = 0;

@@ -52,11 +52,13 @@ class LinkArbiter {
     return granted_[static_cast<size_t>(ticket)] != 0;
   }
 
-  [[nodiscard]] long long requests_this_step() const {
-    return static_cast<long long>(request_channel_.size());
-  }
   [[nodiscard]] long long stalled_this_step() const { return stalled_this_step_; }
   [[nodiscard]] long long total_stalled() const { return total_stalled_; }
+  /// The round-robin position of the directed channel out of `from` along
+  /// `dir` (observability: tests compare grant histories through it).
+  [[nodiscard]] uint32_t cursor(NodeId from, Direction dir) const {
+    return cursor_[channel_of(from, dir)];
+  }
 
  private:
   [[nodiscard]] size_t channel_of(NodeId from, Direction dir) const {
@@ -69,6 +71,11 @@ class LinkArbiter {
   std::vector<uint32_t> cursor_;        ///< per-channel round-robin position
   std::vector<int32_t> request_channel_;  ///< ticket -> channel (this step)
   std::vector<uint8_t> granted_;          ///< ticket -> outcome (this step)
+  // arbitrate() scratch, reused every step: an intrusive singly-linked list
+  // of tickets per requested channel, in submission order.
+  std::vector<int32_t> first_ticket_;  ///< per-channel list head; -1 between steps
+  std::vector<int32_t> next_ticket_;   ///< ticket -> next ticket on its channel, or -1
+  std::vector<int32_t> touched_;       ///< channels requested this step
   long long stalled_this_step_ = 0;
   long long total_stalled_ = 0;
 };

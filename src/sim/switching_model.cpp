@@ -114,16 +114,12 @@ class IdealSwitching final : public SwitchingModel {
     // node, in per-node FIFO service order (nodes ascending, arrivals in
     // order), and moves become channel requests.  Decisions are pure w.r.t.
     // the header (marking happens on the granted traversal), so a stalled
-    // packet simply re-decides next step under the then-current information.
-    struct Pending {
-      int id;
-      SwitchDecision decision;
-      int ticket;
-      NodeId node;
-    };
+    // packet asks again next step under the then-current information; the
+    // host answers from its decision memo unless the header or the
+    // environment changed (DESIGN.md §8).
     arbiter.begin_step();
-    std::vector<Pending> pending;
-    std::vector<std::pair<NodeId, int>> finished_in_place;
+    pending_.clear();
+    finished_in_place_.clear();
     const NodeId nodes = static_cast<NodeId>(fifo_.size());
     for (NodeId node = 0; node < nodes; ++node) {
       for (const int id : fifo_[static_cast<size_t>(node)]) {
@@ -131,29 +127,29 @@ class IdealSwitching final : public SwitchingModel {
         switch (d.action) {
           case SwitchAction::kDeliver:
             host.finish(id, PacketOutcome::kDelivered);
-            finished_in_place.emplace_back(node, id);
+            finished_in_place_.emplace_back(node, id);
             break;
           case SwitchAction::kUnreachable:
             host.finish(id, PacketOutcome::kUnreachable);
-            finished_in_place.emplace_back(node, id);
+            finished_in_place_.emplace_back(node, id);
             break;
           case SwitchAction::kForward:
-            pending.push_back({id, d, arbiter.request(node, d.direction), node});
+            pending_.push_back({id, d, arbiter.request(node, d.direction), node});
             break;
           case SwitchAction::kBacktrack:
             // Backtracking traverses the channel back to the previous node —
             // it contends like any other traversal.
-            pending.push_back({id, d, arbiter.request(node, d.back), node});
+            pending_.push_back({id, d, arbiter.request(node, d.back), node});
             break;
         }
       }
     }
-    for (const auto& [node, id] : finished_in_place) remove_from_fifo(node, id);
+    for (const auto& [node, id] : finished_in_place_) remove_from_fifo(node, id);
 
     arbiter.arbitrate();
 
     // Traversal sub-phase: winners move one hop; losers stall where they are.
-    for (const Pending& p : pending) {
+    for (const Pending& p : pending_) {
       if (!arbiter.granted(p.ticket)) {
         host.count_stall(p.id);
         continue;
@@ -169,6 +165,14 @@ class IdealSwitching final : public SwitchingModel {
     q.erase(std::find(q.begin(), q.end(), id));
   }
 
+  /// An arbitrated packet's channel request, held until the grant is known.
+  struct Pending {
+    int id;
+    SwitchDecision decision;
+    int ticket;
+    NodeId node;
+  };
+
   bool arbitration_;
   /// Contention-free: active packet ids in launch order.
   std::vector<int> order_;
@@ -176,6 +180,9 @@ class IdealSwitching final : public SwitchingModel {
   /// order of the advance phase, hence the submission order the arbiter's
   /// round-robin rotates over.
   std::vector<std::vector<int>> fifo_;
+  // Per-step scratch of advance_arbitrated, kept to reuse its capacity.
+  std::vector<Pending> pending_;
+  std::vector<std::pair<NodeId, int>> finished_in_place_;
 };
 
 // Both registrations live here (not next to each implementation): this

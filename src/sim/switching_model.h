@@ -61,6 +61,8 @@ struct SwitchDecision {
   /// treat the escape as having exhausted it (congestion would otherwise
   /// masquerade as kUnreachable); the step budget bounds the retries.
   bool unmark_on_backtrack = false;
+
+  friend bool operator==(const SwitchDecision&, const SwitchDecision&) = default;
 };
 
 enum class PacketOutcome : uint8_t { kDelivered, kUnreachable, kBudgetExhausted };

@@ -105,20 +105,12 @@ void WormholeSwitching::advance_step(SwitchingHost& host, LinkArbiter* arbiter) 
 
   // Phase 1: probe decisions (nodes ascending, per-node FIFO order — the §8
   // service order), producing switch requests.  Decisions are pure w.r.t.
-  // the header, so a blocked probe simply re-decides next step.
-  enum class ReqKind : uint8_t { kProbeForward, kProbeBacktrack, kFlit, kAcquireFlit };
-  struct Req {
-    int ticket;
-    int id;
-    ReqKind kind;
-    SwitchDecision decision;  // probe kinds only
-    int hop;                  // flit kinds: index of the hop being crossed
-    int vc_hint;              // kAcquireFlit: the VC seen free at request time
-    bool forced;              // kProbeBacktrack: the §10 escape, not the router
-  };
-  std::vector<Req> reqs;
-  std::vector<std::pair<NodeId, int>> leaving_fifo;
-  std::vector<int> new_streams;
+  // the header, so a blocked probe asks again next step and the host answers
+  // from its decision memo until the header or the environment changes
+  // (DESIGN.md §8); a stalled probe costs a memo hit plus a free_vc probe.
+  reqs_.clear();
+  leaving_fifo_.clear();
+  new_streams_.clear();
   const NodeId nodes = static_cast<NodeId>(fifo_.size());
   for (NodeId node = 0; node < nodes; ++node) {
     for (const int id : fifo_[static_cast<size_t>(node)]) {
@@ -140,15 +132,15 @@ void WormholeSwitching::advance_step(SwitchingHost& host, LinkArbiter* arbiter) 
             w.streaming = true;
             w.tail = 0;
             w.frontier = 0;
-            new_streams.push_back(id);
+            new_streams_.push_back(id);
           }
-          leaving_fifo.emplace_back(node, id);
+          leaving_fifo_.emplace_back(node, id);
           break;
         case SwitchAction::kUnreachable:
           release_all(w);
           host.finish(id, PacketOutcome::kUnreachable);
           w.done = true;
-          leaving_fifo.emplace_back(node, id);
+          leaving_fifo_.emplace_back(node, id);
           break;
         case SwitchAction::kForward: {
           // A link-faulted outgoing channel can accept no probe: treat it
@@ -156,8 +148,8 @@ void WormholeSwitching::advance_step(SwitchingHost& host, LinkArbiter* arbiter) 
           // router's next decision sees the mask and steers elsewhere.
           const auto channel = static_cast<int32_t>(channel_of(node, d.direction));
           if (!host.link_faulty(node, d.direction) && free_vc(channel) >= 0) {
-            reqs.push_back({arb.request(node, d.direction), id, ReqKind::kProbeForward, d, -1,
-                            -1, false});
+            reqs_.push_back({arb.request(node, d.direction), id, ReqKind::kProbeForward, d, -1,
+                             -1, false});
           } else {
             // VC allocation failed.  After vc_stall_limit consecutive
             // failures a holding probe backtracks to shed its newest
@@ -171,8 +163,8 @@ void WormholeSwitching::advance_step(SwitchingHost& host, LinkArbiter* arbiter) 
               // The abandoned channel is healthy (VC-starved, not faulty):
               // un-mark it so the escape never exhausts the routing search.
               escape.unmark_on_backtrack = true;
-              reqs.push_back({arb.request(node, d.back), id, ReqKind::kProbeBacktrack, escape,
-                              -1, -1, true});
+              reqs_.push_back({arb.request(node, d.back), id, ReqKind::kProbeBacktrack, escape,
+                               -1, -1, true});
             } else {
               host.count_stall(id);
             }
@@ -182,13 +174,13 @@ void WormholeSwitching::advance_step(SwitchingHost& host, LinkArbiter* arbiter) 
         case SwitchAction::kBacktrack:
           // A backtrack traverses the reverse channel out of the current
           // node; it contends for the switch like any other traversal.
-          reqs.push_back(
+          reqs_.push_back(
               {arb.request(node, d.back), id, ReqKind::kProbeBacktrack, d, -1, -1, false});
           break;
       }
     }
   }
-  for (const auto& [node, id] : leaving_fifo) remove_from_fifo(node, id);
+  for (const auto& [node, id] : leaving_fifo_) remove_from_fifo(node, id);
 
   // Phase 2: data-flit requests along recorded paths (streaming worms in
   // head-arrival order), against start-of-step occupancies.  Flits occupy
@@ -210,14 +202,14 @@ void WormholeSwitching::advance_step(SwitchingHost& host, LinkArbiter* arbiter) 
       if (w.frontier == 0) {
         const int vc = free_vc(hop0.channel);
         if (vc >= 0) {
-          reqs.push_back({request_channel(hop0.channel), id, ReqKind::kAcquireFlit,
-                          SwitchDecision{}, 0, vc, false});
+          reqs_.push_back({request_channel(hop0.channel), id, ReqKind::kAcquireFlit,
+                           SwitchDecision{}, 0, vc, false});
         } else {
           acquisition_blocked = true;
         }
       } else if (hop0.occupancy < depth) {
-        reqs.push_back({request_channel(hop0.channel), id, ReqKind::kFlit, SwitchDecision{},
-                        0, -1, false});
+        reqs_.push_back({request_channel(hop0.channel), id, ReqKind::kFlit, SwitchDecision{},
+                         0, -1, false});
       } else {
         ++credit_stalls_vc_[static_cast<size_t>(hop0.vc)];
       }
@@ -228,16 +220,16 @@ void WormholeSwitching::advance_step(SwitchingHost& host, LinkArbiter* arbiter) 
       Hop& hop = w.path[static_cast<size_t>(i)];
       if (i < w.frontier) {
         if (hop.occupancy < depth) {
-          reqs.push_back({request_channel(hop.channel), id, ReqKind::kFlit, SwitchDecision{},
-                          i, -1, false});
+          reqs_.push_back({request_channel(hop.channel), id, ReqKind::kFlit, SwitchDecision{},
+                           i, -1, false});
         } else {
           ++credit_stalls_vc_[static_cast<size_t>(hop.vc)];
         }
       } else {  // i == frontier: the lead flit extends the worm
         const int vc = free_vc(hop.channel);
         if (vc >= 0) {
-          reqs.push_back({request_channel(hop.channel), id, ReqKind::kAcquireFlit,
-                          SwitchDecision{}, i, vc, false});
+          reqs_.push_back({request_channel(hop.channel), id, ReqKind::kAcquireFlit,
+                           SwitchDecision{}, i, vc, false});
         } else {
           acquisition_blocked = true;
         }
@@ -258,7 +250,7 @@ void WormholeSwitching::advance_step(SwitchingHost& host, LinkArbiter* arbiter) 
   // invalidate them.
   int flit_moves_this_step = 0;
   const int window = options_.flits_per_packet;  // the worm's physical extent
-  for (const Req& r : reqs) {
+  for (const Req& r : reqs_) {
     Worm& w = worms_[static_cast<size_t>(r.id)];
     if (!arb.granted(r.ticket)) {
       if (r.kind == ReqKind::kProbeForward || r.kind == ReqKind::kProbeBacktrack) {
@@ -423,7 +415,7 @@ void WormholeSwitching::advance_step(SwitchingHost& host, LinkArbiter* arbiter) 
     streams_[keep++] = id;
   }
   streams_.resize(keep);
-  streams_.insert(streams_.end(), new_streams.begin(), new_streams.end());
+  streams_.insert(streams_.end(), new_streams_.begin(), new_streams_.end());
 }
 
 std::vector<std::pair<std::string, double>> WormholeSwitching::metrics() const {

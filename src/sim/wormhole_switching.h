@@ -79,7 +79,6 @@ class WormholeSwitching final : public SwitchingModel {
   // --- observability (tests, benches) --------------------------------------
   /// VCs currently reserved across all channels.
   [[nodiscard]] int reserved_vc_count() const;
-  [[nodiscard]] long long total_flit_moves() const { return flit_moves_; }
   [[nodiscard]] long long total_vc_alloc_stalls() const { return vc_alloc_stalls_; }
   [[nodiscard]] long long total_forced_backtracks() const { return forced_backtracks_; }
   [[nodiscard]] long long total_deadlock_drops() const { return deadlock_drops_; }
@@ -117,6 +116,17 @@ class WormholeSwitching final : public SwitchingModel {
     int frontier = 0;       ///< stream: hops [tail, frontier) are reserved
     std::vector<Hop> path;  ///< hops source -> head (mirrors the header path)
   };
+  /// One switch request of advance_step, resolved after arbitration.
+  enum class ReqKind : uint8_t { kProbeForward, kProbeBacktrack, kFlit, kAcquireFlit };
+  struct Req {
+    int ticket;
+    int id;
+    ReqKind kind;
+    SwitchDecision decision;  ///< probe kinds only
+    int hop;                  ///< flit kinds: index of the hop being crossed
+    int vc_hint;              ///< kAcquireFlit: the VC seen free at request time
+    bool forced;              ///< kProbeBacktrack: the §10 escape, not the router
+  };
 
   [[nodiscard]] size_t channel_of(NodeId from, Direction dir) const {
     return static_cast<size_t>(from) * static_cast<size_t>(dirs_) +
@@ -137,6 +147,10 @@ class WormholeSwitching final : public SwitchingModel {
   std::vector<Worm> worms_;        ///< indexed by packet id (dense, launch order)
   std::vector<std::vector<int>> fifo_;  ///< setup probes resident per node
   std::vector<int> streams_;            ///< streaming worm ids, head-arrival order
+  // Per-step scratch of advance_step, kept to reuse its capacity.
+  std::vector<Req> reqs_;
+  std::vector<std::pair<NodeId, int>> leaving_fifo_;
+  std::vector<int> new_streams_;
   /// field_version() at the last fault scan; streams rescan only when the
   /// field actually changed (fault-free runs never pay for the scan).
   uint64_t seen_field_version_ = ~0ull;

@@ -1,11 +1,17 @@
 // Tests for LinkArbiter: one message per directed channel per step,
-// deterministic round-robin among contenders, and the contention behaviour
+// deterministic round-robin among contenders, grant-for-grant equivalence
+// with the stable-sort reference it replaced, and the contention behaviour
 // of the arbitrated advance phase in DynamicSimulation.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+#include <vector>
+
 #include "src/core/dynamic_simulation.h"
 #include "src/sim/link_arbiter.h"
+#include "src/sim/rng.h"
 
 namespace lgfi {
 namespace {
@@ -87,6 +93,137 @@ TEST(LinkArbiter, GrantSequenceIsDeterministic) {
     return grants;
   };
   EXPECT_EQ(run(), run());
+}
+
+// The stable-sort arbiter LinkArbiter replaced, kept as the reference the
+// intrusive-list grouping must reproduce grant for grant: tickets sorted by
+// channel with submission order kept inside a channel, one grant per channel
+// at its round-robin cursor, link-faulted channels granting nobody.
+class ReferenceArbiter {
+ public:
+  ReferenceArbiter(const Topology& mesh, const LinkFaultMask* links)
+      : dirs_(mesh.direction_count()),
+        links_(links),
+        cursor_(static_cast<size_t>(mesh.node_count()) * static_cast<size_t>(dirs_), 0) {}
+
+  void begin_step() {
+    request_channel_.clear();
+    granted_.clear();
+    stalled_this_step_ = 0;
+  }
+
+  int request(NodeId from, Direction dir) {
+    const int ticket = static_cast<int>(request_channel_.size());
+    request_channel_.push_back(static_cast<int32_t>(channel_of(from, dir)));
+    granted_.push_back(0);
+    return ticket;
+  }
+
+  void arbitrate() {
+    const size_t n = request_channel_.size();
+    if (n == 0) return;
+    std::vector<int> order(n);
+    std::iota(order.begin(), order.end(), 0);
+    std::stable_sort(order.begin(), order.end(), [this](int a, int b) {
+      return request_channel_[static_cast<size_t>(a)] < request_channel_[static_cast<size_t>(b)];
+    });
+    size_t i = 0;
+    while (i < n) {
+      size_t j = i;
+      const int32_t channel = request_channel_[static_cast<size_t>(order[i])];
+      while (j < n && request_channel_[static_cast<size_t>(order[j])] == channel) ++j;
+      const size_t contenders = j - i;
+      if (links_ != nullptr && links_->any() &&
+          links_->faulty(static_cast<NodeId>(channel / dirs_),
+                         Direction::from_index(channel % dirs_))) {
+        stalled_this_step_ += static_cast<long long>(contenders);
+        i = j;
+        continue;
+      }
+      const size_t winner = i + cursor_[static_cast<size_t>(channel)] % contenders;
+      granted_[static_cast<size_t>(order[winner])] = 1;
+      if (contenders > 1) {
+        ++cursor_[static_cast<size_t>(channel)];
+        stalled_this_step_ += static_cast<long long>(contenders - 1);
+      }
+      i = j;
+    }
+    total_stalled_ += stalled_this_step_;
+  }
+
+  [[nodiscard]] bool granted(int ticket) const {
+    return granted_[static_cast<size_t>(ticket)] != 0;
+  }
+  [[nodiscard]] long long stalled_this_step() const { return stalled_this_step_; }
+  [[nodiscard]] long long total_stalled() const { return total_stalled_; }
+  [[nodiscard]] uint32_t cursor(NodeId from, Direction dir) const {
+    return cursor_[channel_of(from, dir)];
+  }
+
+ private:
+  [[nodiscard]] size_t channel_of(NodeId from, Direction dir) const {
+    return static_cast<size_t>(from) * static_cast<size_t>(dirs_) +
+           static_cast<size_t>(dir.index());
+  }
+
+  int dirs_;
+  const LinkFaultMask* links_;
+  std::vector<uint32_t> cursor_;
+  std::vector<int32_t> request_channel_;
+  std::vector<uint8_t> granted_;
+  long long stalled_this_step_ = 0;
+  long long total_stalled_ = 0;
+};
+
+TEST(LinkArbiter, MatchesStableSortReferenceOnRandomRequests) {
+  // Seeded random request sequences with heavy channel repetition (most
+  // requests target a few hot nodes) and link faults failing and repairing
+  // between steps: grants, cursors and stall counts must match the
+  // reference exactly, step after step.
+  const MeshTopology mesh(2, 5);
+  const int dirs = mesh.direction_count();
+  const int nodes = static_cast<int>(mesh.node_count());
+  LinkFaultMask links(mesh);
+  LinkArbiter arb(mesh);
+  arb.set_link_faults(&links);
+  ReferenceArbiter ref(mesh, &links);
+  Rng rng(0xA4B17E5);
+  long long contended_steps = 0;
+  long long faulted_requests = 0;
+  for (int step = 0; step < 500; ++step) {
+    if (rng.bernoulli(0.3)) {
+      const auto node = static_cast<NodeId>(rng.uniform_int(0, 3));
+      const Direction dir = Direction::from_index(rng.uniform_int(0, dirs - 1));
+      if (links.faulty(node, dir)) {
+        links.repair(node, dir);
+      } else {
+        links.fail(node, dir);
+      }
+    }
+    arb.begin_step();
+    ref.begin_step();
+    const int requests = rng.uniform_int(0, 40);
+    for (int r = 0; r < requests; ++r) {
+      const auto node = static_cast<NodeId>(rng.bernoulli(0.7) ? rng.uniform_int(0, 3)
+                                                                : rng.uniform_int(0, nodes - 1));
+      const Direction dir = Direction::from_index(rng.uniform_int(0, dirs - 1));
+      if (links.faulty(node, dir)) ++faulted_requests;
+      ASSERT_EQ(arb.request(node, dir), ref.request(node, dir));
+    }
+    arb.arbitrate();
+    ref.arbitrate();
+    for (int t = 0; t < requests; ++t) ASSERT_EQ(arb.granted(t), ref.granted(t)) << step;
+    ASSERT_EQ(arb.stalled_this_step(), ref.stalled_this_step()) << step;
+    ASSERT_EQ(arb.total_stalled(), ref.total_stalled()) << step;
+    for (NodeId node = 0; node < static_cast<NodeId>(nodes); ++node)
+      for (int d = 0; d < dirs; ++d)
+        ASSERT_EQ(arb.cursor(node, Direction::from_index(d)),
+                  ref.cursor(node, Direction::from_index(d)))
+            << step;
+    if (arb.stalled_this_step() > 0) ++contended_steps;
+  }
+  EXPECT_GT(contended_steps, 400) << "the sequence must actually contend";
+  EXPECT_GT(faulted_requests, 100) << "the sequence must hit link-faulted channels";
 }
 
 TEST(DynamicSimulationArbitration, ColocatedMessagesShareAChannel) {
