@@ -3,6 +3,7 @@
 
 Usage:
     scripts/check_perf_regression.py BENCH_baseline.json BENCH_pr.json [--threshold 25]
+    scripts/check_perf_regression.py --trajectory [DIR]
 
 Fails (exit 1) when any benchmark present in both files is more than
 --threshold percent slower than the baseline *after normalizing out the
@@ -22,12 +23,20 @@ the factor near 1 so the window stays small.
 
 Benchmarks that exist on only one side are reported but do not fail the
 check — adding or retiring a benchmark is not a regression.
+
+--trajectory reads every BENCH_pr<N>.json in DIR (default: the repository
+root), the per-change records of the repository benchmark (perfbench/), and
+prints per workload and metric the parent -> change medians in PR order.
 """
 
 import argparse
 import json
 import math
+import re
 import sys
+from pathlib import Path
+
+_PR_FILE = re.compile(r"^BENCH_pr(\d+)\.json$")
 
 _TO_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
@@ -52,15 +61,77 @@ def load_times(path):
     return times
 
 
-def main():
+def load_trajectory(directory):
+    """[(N, document)] for every BENCH_pr<N>.json in `directory`, by N."""
+    runs = []
+    for path in Path(directory).iterdir():
+        match = _PR_FILE.match(path.name)
+        if match:
+            with open(path, "r", encoding="utf-8") as fh:
+                runs.append((int(match.group(1)), json.load(fh)))
+    return sorted(runs, key=lambda run: run[0])
+
+
+def trajectory(runs):
+    """workload -> metric -> [(N, parent median, change median)], in the
+    order workloads and metrics first appear.  Only summarized metrics (a
+    {"median": ...} object) take part; a side a record lacks is None."""
+    def medians(side):
+        return {m: v["median"] for m, v in side.items() if isinstance(v, dict) and "median" in v}
+
+    table = {}
+    for number, doc in runs:
+        for workload, sides in doc.get("workloads", {}).items():
+            parent = medians(sides.get("parent", {}))
+            change = medians(sides.get("change", {}))
+            for metric in list(parent) + [m for m in change if m not in parent]:
+                table.setdefault(workload, {}).setdefault(metric, []).append(
+                    (number, parent.get(metric), change.get(metric)))
+    return table
+
+
+def format_trajectory(table):
+    def num(value):
+        return "-" if value is None else f"{value:.6g}"
+
+    lines = []
+    for workload, metrics in table.items():
+        lines.append(workload)
+        width = max(len(m) for m in metrics)
+        for metric, points in metrics.items():
+            label = metric
+            for number, parent, change in points:
+                delta = ""
+                if parent and change is not None:
+                    delta = f"  ({(change / parent - 1.0) * 100.0:+.1f}%)"
+                lines.append(f"  {label:<{width}}  pr{number:<4} {num(parent):>12} -> "
+                             f"{num(change):<12}{delta}")
+                label = ""
+    return "\n".join(lines)
+
+
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("baseline")
-    parser.add_argument("current")
+    parser.add_argument("baseline", nargs="?")
+    parser.add_argument("current", nargs="?")
     parser.add_argument("--threshold", type=float, default=25.0,
                         help="maximum tolerated slowdown in percent (default 25)")
     parser.add_argument("--absolute", action="store_true",
                         help="compare raw times (requires identical hardware)")
-    args = parser.parse_args()
+    parser.add_argument("--trajectory", nargs="?", metavar="DIR",
+                        const=str(Path(__file__).resolve().parent.parent),
+                        help="print the BENCH_pr*.json medians in DIR in PR order")
+    args = parser.parse_args(argv)
+
+    if args.trajectory is not None:
+        runs = load_trajectory(args.trajectory)
+        if not runs:
+            print(f"ERROR: no BENCH_pr<N>.json in {args.trajectory}")
+            return 1
+        print(format_trajectory(trajectory(runs)))
+        return 0
+    if args.baseline is None or args.current is None:
+        parser.error("baseline and current are required without --trajectory")
 
     baseline = load_times(args.baseline)
     current = load_times(args.current)

@@ -191,13 +191,9 @@ void DistributedFaultModel::handle_cancel_message(NodeId node, const CancelMessa
   const uint64_t wave_key =
       merge_key(m.box, m.carrier, m.dim, m.positive != 0) ^
       (0x9E3779B97F4A7C15ull * (static_cast<uint64_t>(m.epoch) + 1));
-  auto& seen_count = cancel_seen_count_[static_cast<size_t>(node)];
-  if (seen_count > 512) {  // bounded memory; keys are epoch-scoped
-    std::erase_if(cancel_seen_, [node](const NodeKey& k) { return k.node == node; });
-    seen_count = 0;
-  }
-  const bool inserted = cancel_seen_.insert(NodeKey{node, wave_key}).second;
-  if (inserted) ++seen_count;
+  // Bounded memory; keys are epoch-scoped.
+  if (cancel_seen_.count(node) > 512) cancel_seen_.erase_node(node);
+  const bool inserted = cancel_seen_.insert(NodeKey{node, wave_key});
   if (!inserted && !m.force) return;
   m.force = 0;
 

@@ -32,12 +32,11 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/fault/block_registry.h"
 #include "src/fault/labeling.h"
+#include "src/fault/node_key_table.h"
 #include "src/fault/node_status.h"
 #include "src/sim/engine.h"
 #include "src/sim/mailbox.h"
@@ -124,6 +123,15 @@ class DistributedFaultModel final : public SynchronousProtocol {
   }
   [[nodiscard]] long long messages_sent() const { return messages_sent_; }
   [[nodiscard]] int rounds_run() const { return rounds_run_; }
+  /// Entries `id` holds in the identification, merge and cancel bookkeeping
+  /// tables (slice results, collector arrivals, merge- and cancel-flood
+  /// dedup keys); zero right after the node fails or recovers.  The
+  /// per-epoch launch log is not counted: every fault event resets it for
+  /// all nodes.
+  [[nodiscard]] int bookkeeping_entries(NodeId id) const {
+    return slice_results_.count(id) + corner_collect_.count(id) + merge_seen_.count(id) +
+           cancel_seen_.count(id);
+  }
   /// Per-node protocol evaluations performed so far, across all six round
   /// phases.  Under the active-set engine a fully quiescent round performs
   /// zero visits; the full scan performs ~6N (pinned by tests).
@@ -277,39 +285,26 @@ class DistributedFaultModel final : public SynchronousProtocol {
 
   InfoStore info_;
 
-  // Identification bookkeeping, consolidated into (node, key) global tables:
-  // a quiescent node costs zero bytes here, the per-epoch reset is an O(live
-  // entries) clear instead of an O(N) sweep over per-node maps, and wiping a
-  // dead node is an erase_if.  Keys mix the pid/level/parent-stack instance
-  // hash (see identification.cpp); the node id is stored verbatim so the
-  // dedup semantics are exactly the old per-node containers'.
-  struct NodeKey {
-    NodeId node;
-    uint64_t key;
-    friend bool operator==(const NodeKey& a, const NodeKey& b) {
-      return a.node == b.node && a.key == b.key;
-    }
-  };
-  struct NodeKeyHash {
-    size_t operator()(const NodeKey& k) const {
-      uint64_t h = static_cast<uint64_t>(k.node) * 0x9E3779B97F4A7C15ull;
-      h ^= k.key + 0x9E3779B97F4A7C15ull + (h << 6) + (h >> 2);
-      return static_cast<size_t>(h);
-    }
-  };
+  // Identification bookkeeping, one node-indexed (node, key) table each
+  // (node_key_table.h): a quiescent node costs zero bytes here, the
+  // per-epoch launch-log reset is O(live entries), and wiping a dead node
+  // costs O(its own entries) in every table.  Keys mix the
+  // pid/level/parent-stack instance hash (see identification.cpp); the node
+  // id is stored verbatim so the dedup semantics are exactly the old
+  // per-node containers'.
   uint64_t next_pid_ = 1;
   struct SliceResult {
     Box box;
     int round = 0;  ///< for aging out results of dead processes
   };
-  std::unordered_map<NodeKey, SliceResult, NodeKeyHash> slice_results_;
+  NodeKeyTable<SliceResult> slice_results_;
   struct CornerCollect {
     Box box;
     int arrivals = 0;
     int round = 0;
     bool invalid = false;  ///< inconsistent sections: the block is not stable
   };
-  std::unordered_map<NodeKey, CornerCollect, NodeKeyHash> corner_collect_;
+  NodeKeyTable<CornerCollect> corner_collect_;
   // Per-(corner, anchor) launch log: last launch round + attempts this
   // epoch.  A corner whose identification keeps failing (e.g. its walks are
   // permanently blocked by a diagonally touching block) is abandoned after a
@@ -319,7 +314,7 @@ class DistributedFaultModel final : public SynchronousProtocol {
     int last_round = 0;
     int attempts = 0;
   };
-  std::unordered_map<NodeKey, LaunchBook, NodeKeyHash> launch_book_;
+  NodeKeyTable<LaunchBook> launch_book_;
 
   // Mailboxes (one hop per round each).
   MailboxSystem<IdentMessage>* ident_mail();
@@ -337,22 +332,22 @@ class DistributedFaultModel final : public SynchronousProtocol {
   std::vector<std::vector<BlockInfo>> formed_at_corner_;
 
   // Merge-flood dedup: (info box, carrier box, surface) triples processed,
-  // keyed by (node, triple hash) in one global set.
-  std::unordered_set<NodeKey, NodeKeyHash> merge_seen_;
+  // keyed by (node, triple hash).
+  NodeKeyTable<NoValue> merge_seen_;
 
   // Cancel-flood dedup.  Keyed by (box, epoch, carrier, surface) so the wave
   // traverses the entire envelope even across nodes that already dropped the
   // entry locally — otherwise eager invalidation could cut the wave before
-  // it reaches the ring nodes that must cancel the walls.  The per-node
-  // entry count preserves the historical bounded-memory rule (a node's keys
-  // are dropped when it accumulates > 512).
-  std::unordered_set<NodeKey, NodeKeyHash> cancel_seen_;
-  std::vector<uint16_t> cancel_seen_count_;
+  // it reaches the ring nodes that must cancel the walls.  The table's
+  // per-node count keeps the historical bounded-memory rule (a node's keys
+  // are dropped when it holds > 512).
+  NodeKeyTable<NoValue> cancel_seen_;
 
   // ---- active-set round engine state (options_.active_set) ----
   LabelingWorklist labeling_wl_;
   std::vector<uint8_t> levels_marked_;  ///< round_levels worklist flags
   std::vector<NodeId> levels_queue_;
+  std::vector<NodeId> levels_batch_;    ///< the queue being visited this round
   std::vector<uint8_t> cancel_marked_;  ///< round_cancel check-worklist flags
   std::vector<NodeId> cancel_queue_;
   std::vector<uint8_t> has_corner_;     ///< node holds a level-n entry

@@ -94,12 +94,9 @@ void DistributedFaultModel::age_identification_bookkeeping() {
   // Age out bookkeeping of dead processes.
   if (rounds_run_ % 64 != 0) return;
   const int horizon = 2 * default_ttl();
-  if (!slice_results_.empty())
-    std::erase_if(slice_results_,
-                  [&](const auto& kv) { return rounds_run_ - kv.second.round > horizon; });
-  if (!corner_collect_.empty())
-    std::erase_if(corner_collect_,
-                  [&](const auto& kv) { return rounds_run_ - kv.second.round > horizon; });
+  const auto stale = [&](const auto& entry) { return rounds_run_ - entry.round > horizon; };
+  slice_results_.erase_if(stale);
+  corner_collect_.erase_if(stale);
 }
 
 bool DistributedFaultModel::trigger_identifications() {
@@ -336,14 +333,14 @@ void DistributedFaultModel::handle_ident_message(NodeId node, IdentMessage m) {
       const int j = m.walk_dim;
       if (has_level_entry(node, side_anchor, m.level - 1)) {
         // Opposite-edge node: wait for the slice result, merge, move on.
-        const auto it = slice_results_.find(NodeKey{
+        const SliceResult* slice = slice_results_.find(NodeKey{
             node,
             instance_key(m.pid, m.level, m.free_mask, m.parent_dims, m.parent_signs, m.depth)});
-        if (it == slice_results_.end()) {
+        if (slice == nullptr) {
           ident_mail_->send(node, std::move(m));  // wait one round
           return;
         }
-        m.partial = m.partial.hull(it->second.box);
+        m.partial = m.partial.hull(slice->box);
         const Coord next = c.shifted(j, m.walk_sign);
         if (mesh_->in_bounds(next)) ident_mail_->send(mesh_->index_of(next), std::move(m));
         return;

@@ -26,7 +26,6 @@ DistributedFaultModel::DistributedFaultModel(const Topology& mesh,
       levels_prev_round_(static_cast<size_t>(mesh.node_count()), -1),
       info_(mesh),
       formed_at_corner_(static_cast<size_t>(mesh.node_count())),
-      cancel_seen_count_(static_cast<size_t>(mesh.node_count()), 0),
       levels_marked_(static_cast<size_t>(mesh.node_count()), 0),
       cancel_marked_(static_cast<size_t>(mesh.node_count()), 0),
       has_corner_(static_cast<size_t>(mesh.node_count()), 0),
@@ -101,16 +100,11 @@ void DistributedFaultModel::wipe_node_memory(NodeId node) {
   levels_prev_round_[static_cast<size_t>(node)] = -1;
   if (has_corner_[static_cast<size_t>(node)] == 1)
     has_corner_[static_cast<size_t>(node)] = 2;  // stays in corner_nodes_; compacted lazily
-  const auto is_node = [node](const auto& entry) {
-    if constexpr (requires { entry.first.node; }) return entry.first.node == node;
-    else return entry.node == node;
-  };
-  std::erase_if(slice_results_, is_node);
-  std::erase_if(corner_collect_, is_node);
-  std::erase_if(launch_book_, is_node);
-  std::erase_if(merge_seen_, is_node);
-  std::erase_if(cancel_seen_, is_node);
-  cancel_seen_count_[static_cast<size_t>(node)] = 0;
+  // launch_book_ is left to the callers, which reset it wholesale.
+  slice_results_.erase_node(node);
+  corner_collect_.erase_node(node);
+  merge_seen_.erase_node(node);
+  cancel_seen_.erase_node(node);
   formed_at_corner_[static_cast<size_t>(node)].clear();
 }
 
@@ -302,12 +296,14 @@ bool DistributedFaultModel::round_levels() {
       if (visit_levels(id)) changed = true;
     return changed;
   }
-  std::vector<NodeId> cur;
-  cur.swap(levels_queue_);
-  for (NodeId id : cur) levels_marked_[static_cast<size_t>(id)] = 0;
-  std::sort(cur.begin(), cur.end());
-  for (NodeId id : cur)
+  // Visits the queued batch while visit_levels() refills the queue; both
+  // buffers keep their capacity from round to round.
+  levels_batch_.swap(levels_queue_);
+  for (NodeId id : levels_batch_) levels_marked_[static_cast<size_t>(id)] = 0;
+  std::sort(levels_batch_.begin(), levels_batch_.end());
+  for (NodeId id : levels_batch_)
     if (visit_levels(id)) changed = true;
+  levels_batch_.clear();
   return changed;
 }
 
@@ -347,26 +343,17 @@ long long DistributedFaultModel::memory_bytes() const {
   bytes += field_.node_count();  // status array
   bytes += vec_bytes(freshly_clean_, 1) + vec_bytes(levels_prev_round_, sizeof(int));
   bytes += vec_bytes(levels_marked_, 1) + vec_bytes(cancel_marked_, 1) +
-           vec_bytes(has_corner_, 1) + vec_bytes(corner_pending_marked_, 1) +
-           vec_bytes(cancel_seen_count_, sizeof(uint16_t));
-  bytes += vec_bytes(levels_queue_, sizeof(NodeId)) + vec_bytes(cancel_queue_, sizeof(NodeId)) +
-           vec_bytes(corner_nodes_, sizeof(NodeId)) +
+           vec_bytes(has_corner_, 1) + vec_bytes(corner_pending_marked_, 1);
+  bytes += vec_bytes(levels_queue_, sizeof(NodeId)) + vec_bytes(levels_batch_, sizeof(NodeId)) +
+           vec_bytes(cancel_queue_, sizeof(NodeId)) + vec_bytes(corner_nodes_, sizeof(NodeId)) +
            vec_bytes(corner_pending_, sizeof(NodeId));
   bytes += vec_bytes(labeling_wl_.marked, 1) + vec_bytes(labeling_wl_.queue, sizeof(NodeId));
   for (const auto& v : levels_) bytes += sizeof(v) + vec_bytes(v, sizeof(LevelEntry));
   for (const auto& v : levels_prev_) bytes += sizeof(v) + vec_bytes(v, sizeof(LevelEntry));
   for (const auto& v : formed_at_corner_) bytes += sizeof(v) + vec_bytes(v, sizeof(BlockInfo));
   bytes += info_.memory_bytes();
-  // Consolidated bookkeeping tables: entries plus hash-table node overhead.
-  constexpr long long kMapOverhead = 16;
-  bytes += static_cast<long long>(slice_results_.size()) *
-           (static_cast<long long>(sizeof(NodeKey) + sizeof(SliceResult)) + kMapOverhead);
-  bytes += static_cast<long long>(corner_collect_.size()) *
-           (static_cast<long long>(sizeof(NodeKey) + sizeof(CornerCollect)) + kMapOverhead);
-  bytes += static_cast<long long>(launch_book_.size()) *
-           (static_cast<long long>(sizeof(NodeKey) + sizeof(LaunchBook)) + kMapOverhead);
-  bytes += static_cast<long long>(merge_seen_.size() + cancel_seen_.size()) *
-           (static_cast<long long>(sizeof(NodeKey)) + kMapOverhead);
+  bytes += slice_results_.memory_bytes() + corner_collect_.memory_bytes() +
+           launch_book_.memory_bytes() + merge_seen_.memory_bytes() + cancel_seen_.memory_bytes();
   bytes += ident_mail_->memory_bytes() + info_mail_->memory_bytes() +
            wall_mail_->memory_bytes() + cancel_mail_->memory_bytes();
   return bytes;

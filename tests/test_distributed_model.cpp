@@ -232,6 +232,51 @@ TEST(DistributedModel, GrowthSupersedesOldInfo) {
   EXPECT_EQ(placement_mismatches(mesh, model, placement.store), 0);
 }
 
+TEST(DistributedModel, FailAndRepairMidIdentificationWipesOnlyThatNode) {
+  // A node that fails or comes back holds no bookkeeping; its neighbours'
+  // tables are untouched by the wipe.  The victim is the node holding the
+  // most entries while identification of the Figure 1 block is under way.
+  const MeshTopology mesh(3, 8);
+  const std::vector<Coord> fig1{Coord{3, 5, 4}, Coord{4, 5, 4}, Coord{5, 5, 3}, Coord{3, 6, 3}};
+  DistributedFaultModel model(mesh);
+  for (const auto& f : fig1) model.inject_fault(f);
+  auto entries = [&] {
+    std::vector<int> out;
+    for (NodeId id = 0; id < mesh.node_count(); ++id) out.push_back(model.bookkeeping_entries(id));
+    return out;
+  };
+  NodeId victim = -1;
+  for (int round = 0; round < 500 && victim < 0; ++round) {
+    model.run_round();
+    if (!model.last_activity().identification) continue;
+    const auto now = entries();
+    const auto best = std::max_element(now.begin(), now.end());
+    if (*best >= 2) victim = static_cast<NodeId>(best - now.begin());
+  }
+  ASSERT_GE(victim, 0) << "identification never held bookkeeping";
+  ASSERT_EQ(model.field().at(victim), NodeStatus::kEnabled);
+
+  auto expect_only_victim_wiped = [&](const std::vector<int>& before) {
+    const auto after = entries();
+    EXPECT_EQ(after[static_cast<size_t>(victim)], 0);
+    for (NodeId id = 0; id < mesh.node_count(); ++id)
+      if (id != victim) ASSERT_EQ(after[static_cast<size_t>(id)], before[static_cast<size_t>(id)]);
+  };
+  auto before = entries();
+  model.inject_fault(mesh.coord_of(victim));
+  expect_only_victim_wiped(before);
+  for (int round = 0; round < 3; ++round) model.run_round();
+  before = entries();
+  model.recover(mesh.coord_of(victim));
+  expect_only_victim_wiped(before);
+
+  // With the node back the fault set is the original one again.
+  model.stabilize(20000);
+  const auto blocks = block_boxes(stabilized_field(mesh, fig1));
+  const auto placement = compute_information_placement(mesh, blocks, model.epoch());
+  EXPECT_EQ(placement_mismatches(mesh, model, placement.store), 0);
+}
+
 TEST(DistributedModel, NoFaultsNoActivity) {
   const MeshTopology mesh(3, 6);
   DistributedFaultModel model(mesh);
