@@ -1,8 +1,6 @@
 #include "src/routing/direction_policy.h"
 
-#include <algorithm>
 #include <cassert>
-#include <cstdlib>
 
 #include "src/fault/boundary_model.h"
 
@@ -64,33 +62,24 @@ DirectionClass classify_direction(const RoutingContext& ctx, const Coord& u, con
   return along_block(ctx, u, dir) ? DirectionClass::kSpareAlongBlock : DirectionClass::kSpare;
 }
 
-std::vector<ClassifiedDirection> ordered_candidates(const RoutingContext& ctx, const Coord& u,
-                                                    const Coord& dest, const DirectionSet& used,
-                                                    Direction incoming,
-                                                    const DirectionPolicyOptions& opts) {
+ClassifiedDirection best_candidate(const RoutingContext& ctx, const Coord& u, const Coord& dest,
+                                   const DirectionSet& used, Direction incoming,
+                                   const DirectionPolicyOptions& opts) {
   // The reverse of the arrival move is the paper's lowest-priority "incoming
   // direction": taking it is the backtrack, handled by the router.
   const Direction return_dir = incoming.is_none() ? Direction::none() : incoming.opposite();
 
-  std::vector<ClassifiedDirection> out;
+  ClassifiedDirection best;  // kExcluded until a usable direction appears
   for (int i = 0; i < ctx.mesh->direction_count(); ++i) {
     const Direction d = Direction::from_index(i);
     if (!return_dir.is_none() && d == return_dir) continue;
     const DirectionClass cls = classify_direction(ctx, u, dest, d, used, opts);
-    if (cls != DirectionClass::kExcluded) out.push_back(ClassifiedDirection{d, cls});
+    if (cls < best.cls) {
+      best = ClassifiedDirection{d, cls};
+      if (cls == DirectionClass::kPreferred) break;
+    }
   }
-
-  auto offset = [&](const ClassifiedDirection& cd) {
-    return ctx.mesh->axis_distance(cd.dir.dim(), u[cd.dir.dim()], dest[cd.dir.dim()]);
-  };
-  std::stable_sort(out.begin(), out.end(),
-                   [&](const ClassifiedDirection& a, const ClassifiedDirection& b) {
-                     if (a.cls != b.cls) return a.cls < b.cls;
-                     if (opts.tie_break == TieBreak::kLargestOffset && offset(a) != offset(b))
-                       return offset(a) > offset(b);
-                     return a.dir.index() < b.dir.index();
-                   });
-  return out;
+  return best;
 }
 
 }  // namespace lgfi

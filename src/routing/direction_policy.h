@@ -1,5 +1,5 @@
 #pragma once
-// Direction classification and priority ordering (Algorithm 3).
+// Direction classification and the highest-priority choice (Algorithm 3).
 //
 // At the current node u (with destination d and incoming direction), each of
 // the up-to-2n outgoing directions falls into one class:
@@ -20,9 +20,8 @@
 // detour, and incoming"; the incoming direction as last resort coincides
 // with PCS backtracking and is handled by the router, not listed here.
 // Plain spares (unnamed by the paper) sit between along-block spares and
-// detour-preferred; see DESIGN.md §6.6.
-
-#include <vector>
+// detour-preferred; see DESIGN.md §6.6.  Within a class, the lower
+// direction index wins (an e-cube-like order).
 
 #include "src/routing/router.h"
 
@@ -38,24 +37,19 @@ enum class DirectionClass : uint8_t {
 
 [[nodiscard]] const char* to_string(DirectionClass c);
 
-/// Tie-breaking among same-class candidates.
-enum class TieBreak : uint8_t {
-  kLowestDim,      ///< deterministic e-cube-like order (default)
-  kLargestOffset,  ///< prefer the dimension with the largest remaining offset
-};
-
 struct DirectionPolicyOptions {
   bool avoid_faulty_neighbors = true;
   bool avoid_disabled_neighbors = true;
   /// When false, block information is ignored (the info-free baseline): no
   /// direction is ever classified preferred-but-detour.
   bool use_block_info = true;
-  TieBreak tie_break = TieBreak::kLowestDim;
 };
 
 struct ClassifiedDirection {
   Direction dir;
   DirectionClass cls = DirectionClass::kExcluded;
+
+  friend bool operator==(const ClassifiedDirection&, const ClassifiedDirection&) = default;
 };
 
 /// Classifies one direction at node `u`.
@@ -63,17 +57,18 @@ DirectionClass classify_direction(const RoutingContext& ctx, const Coord& u, con
                                   Direction dir, const DirectionSet& used,
                                   const DirectionPolicyOptions& opts);
 
-/// All non-excluded candidates at `u`, best first (class, then tie-break).
+/// The best candidate at `u`: the lowest class among non-excluded
+/// directions, the lowest direction index within it.  Returns a kExcluded
+/// entry when no direction is usable.  One pass, no allocation; stops at the
+/// first preferred direction, which nothing can outrank.
 /// `incoming` is the direction the message travelled to arrive at `u` (or
 /// none at the source); its reverse — "the incoming direction" in the
 /// paper's priority list — ranks below every other choice, which in PCS
-/// terms is the backtrack itself, so it is excluded from the forward
-/// candidates here.  Without this demotion a probe bouncing off an obstacle
-/// would ping-pong between two nodes forever (path-local used sets reset on
-/// every new path entry).
-std::vector<ClassifiedDirection> ordered_candidates(const RoutingContext& ctx, const Coord& u,
-                                                    const Coord& dest, const DirectionSet& used,
-                                                    Direction incoming,
-                                                    const DirectionPolicyOptions& opts);
+/// terms is the backtrack itself, so it is never returned here.  Without
+/// this demotion a probe bouncing off an obstacle would ping-pong between
+/// two nodes forever (path-local used sets reset on every new path entry).
+ClassifiedDirection best_candidate(const RoutingContext& ctx, const Coord& u, const Coord& dest,
+                                   const DirectionSet& used, Direction incoming,
+                                   const DirectionPolicyOptions& opts);
 
 }  // namespace lgfi

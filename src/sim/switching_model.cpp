@@ -1,8 +1,7 @@
 #include "src/sim/switching_model.h"
 
-#include <algorithm>
-
 #include "src/sim/link_arbiter.h"
+#include "src/sim/node_queues.h"
 #include "src/sim/wormhole_switching.h"
 
 namespace lgfi {
@@ -59,7 +58,7 @@ class IdealSwitching final : public SwitchingModel {
  public:
   IdealSwitching(const Topology& mesh, const SwitchingOptions& options)
       : arbitration_(options.link_arbitration) {
-    if (arbitration_) fifo_.resize(static_cast<size_t>(mesh.node_count()));
+    if (arbitration_) fifo_ = NodeQueues(mesh.node_count());
   }
 
   [[nodiscard]] std::string name() const override { return "ideal"; }
@@ -67,7 +66,7 @@ class IdealSwitching final : public SwitchingModel {
 
   void add_packet(int id, NodeId source) override {
     if (arbitration_) {
-      fifo_[static_cast<size_t>(source)].push_back(id);
+      fifo_.push(source, id);
     } else {
       order_.push_back(id);
     }
@@ -120,31 +119,28 @@ class IdealSwitching final : public SwitchingModel {
     arbiter.begin_step();
     pending_.clear();
     finished_in_place_.clear();
-    const NodeId nodes = static_cast<NodeId>(fifo_.size());
-    for (NodeId node = 0; node < nodes; ++node) {
-      for (const int id : fifo_[static_cast<size_t>(node)]) {
-        const SwitchDecision d = host.decide(id);
-        switch (d.action) {
-          case SwitchAction::kDeliver:
-            host.finish(id, PacketOutcome::kDelivered);
-            finished_in_place_.emplace_back(node, id);
-            break;
-          case SwitchAction::kUnreachable:
-            host.finish(id, PacketOutcome::kUnreachable);
-            finished_in_place_.emplace_back(node, id);
-            break;
-          case SwitchAction::kForward:
-            pending_.push_back({id, d, arbiter.request(node, d.direction), node});
-            break;
-          case SwitchAction::kBacktrack:
-            // Backtracking traverses the channel back to the previous node —
-            // it contends like any other traversal.
-            pending_.push_back({id, d, arbiter.request(node, d.back), node});
-            break;
-        }
+    fifo_.for_each([&](NodeId node, int id) {
+      const SwitchDecision d = host.decide(id);
+      switch (d.action) {
+        case SwitchAction::kDeliver:
+          host.finish(id, PacketOutcome::kDelivered);
+          finished_in_place_.emplace_back(node, id);
+          break;
+        case SwitchAction::kUnreachable:
+          host.finish(id, PacketOutcome::kUnreachable);
+          finished_in_place_.emplace_back(node, id);
+          break;
+        case SwitchAction::kForward:
+          pending_.push_back({id, d, arbiter.request(node, d.direction), node});
+          break;
+        case SwitchAction::kBacktrack:
+          // Backtracking traverses the channel back to the previous node —
+          // it contends like any other traversal.
+          pending_.push_back({id, d, arbiter.request(node, d.back), node});
+          break;
       }
-    }
-    for (const auto& [node, id] : finished_in_place_) remove_from_fifo(node, id);
+    });
+    for (const auto& [node, id] : finished_in_place_) fifo_.remove(node, id);
 
     arbiter.arbitrate();
 
@@ -155,14 +151,9 @@ class IdealSwitching final : public SwitchingModel {
         continue;
       }
       const MoveResult r = host.commit_move(p.id, p.decision);
-      remove_from_fifo(p.node, p.id);
-      if (!r.finished) fifo_[static_cast<size_t>(r.node)].push_back(p.id);
+      fifo_.remove(p.node, p.id);
+      if (!r.finished) fifo_.push(r.node, p.id);
     }
-  }
-
-  void remove_from_fifo(NodeId node, int id) {
-    auto& q = fifo_[static_cast<size_t>(node)];
-    q.erase(std::find(q.begin(), q.end(), id));
   }
 
   /// An arbitrated packet's channel request, held until the grant is known.
@@ -179,7 +170,7 @@ class IdealSwitching final : public SwitchingModel {
   /// Arbitrated: per-node FIFO of resident active packet ids — the service
   /// order of the advance phase, hence the submission order the arbiter's
   /// round-robin rotates over.
-  std::vector<std::vector<int>> fifo_;
+  NodeQueues fifo_;
   // Per-step scratch of advance_arbitrated, kept to reuse its capacity.
   std::vector<Pending> pending_;
   std::vector<std::pair<NodeId, int>> finished_in_place_;

@@ -1,6 +1,5 @@
 #include "src/sim/wormhole_switching.h"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "src/sim/link_arbiter.h"
@@ -16,7 +15,10 @@ void check_range(const char* key, int value, int lo, int hi) {
 }  // namespace
 
 WormholeSwitching::WormholeSwitching(const Topology& mesh, const SwitchingOptions& options)
-    : mesh_(&mesh), options_(options), dirs_(mesh.direction_count()) {
+    : mesh_(&mesh),
+      options_(options),
+      dirs_(mesh.direction_count()),
+      fifo_(mesh.node_count()) {
   check_range("num_vcs", options_.num_vcs, 1, 64);
   check_range("vc_buffer_depth", options_.vc_buffer_depth, 1, 4096);
   check_range("flits_per_packet", options_.flits_per_packet, 1, 4096);
@@ -24,7 +26,6 @@ WormholeSwitching::WormholeSwitching(const Topology& mesh, const SwitchingOption
   vc_owner_.assign(static_cast<size_t>(mesh.node_count()) * static_cast<size_t>(dirs_) *
                        static_cast<size_t>(options_.num_vcs),
                    -1);
-  fifo_.resize(static_cast<size_t>(mesh.node_count()));
   credit_stalls_vc_.assign(static_cast<size_t>(options_.num_vcs), 0);
   switch_stalls_vc_.assign(static_cast<size_t>(options_.num_vcs), 0);
 }
@@ -65,11 +66,6 @@ void WormholeSwitching::release_all(Worm& w) {
   }
 }
 
-void WormholeSwitching::remove_from_fifo(NodeId node, int id) {
-  auto& q = fifo_[static_cast<size_t>(node)];
-  q.erase(std::find(q.begin(), q.end(), id));
-}
-
 void WormholeSwitching::add_packet(int id, NodeId source) {
   if (id != static_cast<int>(worms_.size()))
     throw std::logic_error("wormhole: packet ids must be dense and launch-ordered");
@@ -77,7 +73,7 @@ void WormholeSwitching::add_packet(int id, NodeId source) {
   w.node = source;
   w.at_source = options_.flits_per_packet - 1;  // the head flit is the probe
   worms_.push_back(std::move(w));
-  fifo_[static_cast<size_t>(source)].push_back(id);
+  fifo_.push(source, id);
 }
 
 void WormholeSwitching::advance_step(SwitchingHost& host, LinkArbiter* arbiter) {
@@ -111,76 +107,73 @@ void WormholeSwitching::advance_step(SwitchingHost& host, LinkArbiter* arbiter) 
   reqs_.clear();
   leaving_fifo_.clear();
   new_streams_.clear();
-  const NodeId nodes = static_cast<NodeId>(fifo_.size());
-  for (NodeId node = 0; node < nodes; ++node) {
-    for (const int id : fifo_[static_cast<size_t>(node)]) {
-      Worm& w = worms_[static_cast<size_t>(id)];
-      const SwitchDecision d = host.decide(id);
-      switch (d.action) {
-        case SwitchAction::kDeliver:
-          // Head arrival: the probe ejects as the packet's first flit and
-          // sheds its setup holds; the body streams as a data worm from the
-          // next step on.
-          host.record_head_arrival(id);
-          release_all(w);
-          ++w.ejected;
-          if (w.at_source == 0) {
-            // Single-flit packet: the head is also the tail.
-            host.finish(id, PacketOutcome::kDelivered);
-            w.done = true;
-          } else {
-            w.streaming = true;
-            w.tail = 0;
-            w.frontier = 0;
-            new_streams_.push_back(id);
-          }
-          leaving_fifo_.emplace_back(node, id);
-          break;
-        case SwitchAction::kUnreachable:
-          release_all(w);
-          host.finish(id, PacketOutcome::kUnreachable);
+  fifo_.for_each([&](NodeId node, int id) {
+    Worm& w = worms_[static_cast<size_t>(id)];
+    const SwitchDecision d = host.decide(id);
+    switch (d.action) {
+      case SwitchAction::kDeliver:
+        // Head arrival: the probe ejects as the packet's first flit and
+        // sheds its setup holds; the body streams as a data worm from the
+        // next step on.
+        host.record_head_arrival(id);
+        release_all(w);
+        ++w.ejected;
+        if (w.at_source == 0) {
+          // Single-flit packet: the head is also the tail.
+          host.finish(id, PacketOutcome::kDelivered);
           w.done = true;
-          leaving_fifo_.emplace_back(node, id);
-          break;
-        case SwitchAction::kForward: {
-          // A link-faulted outgoing channel can accept no probe: treat it
-          // exactly like VC starvation (stall, then the §10 escape) — the
-          // router's next decision sees the mask and steers elsewhere.
-          const auto channel = static_cast<int32_t>(channel_of(node, d.direction));
-          if (!host.link_faulty(node, d.direction) && free_vc(channel) >= 0) {
-            reqs_.push_back({arb.request(node, d.direction), id, ReqKind::kProbeForward, d, -1,
-                             -1, false});
-          } else {
-            // VC allocation failed.  After vc_stall_limit consecutive
-            // failures a holding probe backtracks to shed its newest
-            // reservation (the §10 escape); with nothing to shed it waits.
-            ++vc_alloc_stalls_;
-            ++w.vc_stall;
-            if (w.vc_stall >= options_.vc_stall_limit && !d.back.is_none()) {
-              SwitchDecision escape;
-              escape.action = SwitchAction::kBacktrack;
-              escape.back = d.back;
-              // The abandoned channel is healthy (VC-starved, not faulty):
-              // un-mark it so the escape never exhausts the routing search.
-              escape.unmark_on_backtrack = true;
-              reqs_.push_back({arb.request(node, d.back), id, ReqKind::kProbeBacktrack, escape,
-                               -1, -1, true});
-            } else {
-              host.count_stall(id);
-            }
-          }
-          break;
+        } else {
+          w.streaming = true;
+          w.tail = 0;
+          w.frontier = 0;
+          new_streams_.push_back(id);
         }
-        case SwitchAction::kBacktrack:
-          // A backtrack traverses the reverse channel out of the current
-          // node; it contends for the switch like any other traversal.
-          reqs_.push_back(
-              {arb.request(node, d.back), id, ReqKind::kProbeBacktrack, d, -1, -1, false});
-          break;
+        leaving_fifo_.emplace_back(node, id);
+        break;
+      case SwitchAction::kUnreachable:
+        release_all(w);
+        host.finish(id, PacketOutcome::kUnreachable);
+        w.done = true;
+        leaving_fifo_.emplace_back(node, id);
+        break;
+      case SwitchAction::kForward: {
+        // A link-faulted outgoing channel can accept no probe: treat it
+        // exactly like VC starvation (stall, then the §10 escape) — the
+        // router's next decision sees the mask and steers elsewhere.
+        const auto channel = static_cast<int32_t>(channel_of(node, d.direction));
+        if (!host.link_faulty(node, d.direction) && free_vc(channel) >= 0) {
+          reqs_.push_back({arb.request(node, d.direction), id, ReqKind::kProbeForward, d, -1,
+                           -1, false});
+        } else {
+          // VC allocation failed.  After vc_stall_limit consecutive
+          // failures a holding probe backtracks to shed its newest
+          // reservation (the §10 escape); with nothing to shed it waits.
+          ++vc_alloc_stalls_;
+          ++w.vc_stall;
+          if (w.vc_stall >= options_.vc_stall_limit && !d.back.is_none()) {
+            SwitchDecision escape;
+            escape.action = SwitchAction::kBacktrack;
+            escape.back = d.back;
+            // The abandoned channel is healthy (VC-starved, not faulty):
+            // un-mark it so the escape never exhausts the routing search.
+            escape.unmark_on_backtrack = true;
+            reqs_.push_back({arb.request(node, d.back), id, ReqKind::kProbeBacktrack, escape,
+                             -1, -1, true});
+          } else {
+            host.count_stall(id);
+          }
+        }
+        break;
       }
+      case SwitchAction::kBacktrack:
+        // A backtrack traverses the reverse channel out of the current
+        // node; it contends for the switch like any other traversal.
+        reqs_.push_back(
+            {arb.request(node, d.back), id, ReqKind::kProbeBacktrack, d, -1, -1, false});
+        break;
     }
-  }
-  for (const auto& [node, id] : leaving_fifo_) remove_from_fifo(node, id);
+  });
+  for (const auto& [node, id] : leaving_fifo_) fifo_.remove(node, id);
 
   // Phase 2: data-flit requests along recorded paths (streaming worms in
   // head-arrival order), against start-of-step occupancies.  Flits occupy
@@ -285,13 +278,13 @@ void WormholeSwitching::advance_step(SwitchingHost& host, LinkArbiter* arbiter) 
           release_hop(w.path[static_cast<size_t>(w.held_from)]);
           ++w.held_from;
         }
-        remove_from_fifo(w.node, r.id);
+        fifo_.remove(w.node, r.id);
         w.node = m.node;
         if (m.finished) {
           release_all(w);
           w.done = true;
         } else {
-          fifo_[static_cast<size_t>(m.node)].push_back(r.id);
+          fifo_.push(m.node, r.id);
         }
         break;
       }
@@ -303,13 +296,13 @@ void WormholeSwitching::advance_step(SwitchingHost& host, LinkArbiter* arbiter) 
         w.path.pop_back();
         if (w.held_from > static_cast<int>(w.path.size()))
           w.held_from = static_cast<int>(w.path.size());
-        remove_from_fifo(w.node, r.id);
+        fifo_.remove(w.node, r.id);
         w.node = m.node;
         if (m.finished) {
           release_all(w);
           w.done = true;
         } else {
-          fifo_[static_cast<size_t>(m.node)].push_back(r.id);
+          fifo_.push(m.node, r.id);
         }
         break;
       }
@@ -502,14 +495,13 @@ void WormholeSwitching::validate() const {
     if (total != expect) fail("flit conservation violated");
   }
   // Every active setup worm sits in exactly one node FIFO, at its node.
+  fifo_.validate();
   std::vector<int> residency(worms_.size(), 0);
-  for (size_t node = 0; node < fifo_.size(); ++node) {
-    for (const int id : fifo_[node]) {
-      ++residency[static_cast<size_t>(id)];
-      if (worms_[static_cast<size_t>(id)].node != static_cast<NodeId>(node))
-        fail("fifo residency disagrees with worm node");
-    }
-  }
+  fifo_.for_each([&](NodeId node, int id) {
+    ++residency[static_cast<size_t>(id)];
+    if (worms_[static_cast<size_t>(id)].node != node)
+      fail("fifo residency disagrees with worm node");
+  });
   for (size_t id = 0; id < worms_.size(); ++id) {
     const Worm& w = worms_[id];
     const int expect = (w.done || w.streaming) ? 0 : 1;

@@ -52,6 +52,7 @@
 #include <string>
 #include <vector>
 
+#include "src/sim/node_queues.h"
 #include "src/sim/switching_model.h"
 
 namespace lgfi {
@@ -138,15 +139,14 @@ class WormholeSwitching final : public SwitchingModel {
   void release_hop(Hop& hop);
   /// Releases every VC the worm still holds (either phase).
   void release_all(Worm& w);
-  void remove_from_fifo(NodeId node, int id);
 
   const Topology* mesh_;
   SwitchingOptions options_;
   int dirs_;
   std::vector<int32_t> vc_owner_;  ///< (channel * num_vcs + vc) -> worm id or -1
   std::vector<Worm> worms_;        ///< indexed by packet id (dense, launch order)
-  std::vector<std::vector<int>> fifo_;  ///< setup probes resident per node
-  std::vector<int> streams_;            ///< streaming worm ids, head-arrival order
+  NodeQueues fifo_;                ///< setup probes resident per node
+  std::vector<int> streams_;       ///< streaming worm ids, head-arrival order
   // Per-step scratch of advance_step, kept to reuse its capacity.
   std::vector<Req> reqs_;
   std::vector<std::pair<NodeId, int>> leaving_fifo_;

@@ -8,6 +8,7 @@
 #include "src/fault/boundary_model.h"
 #include "src/fault/labeling.h"
 #include "src/fault/safety.h"
+#include "src/mesh/link_fault_mask.h"
 #include "src/routing/direction_policy.h"
 #include "src/routing/global_table_router.h"
 #include "src/routing/oracle_router.h"
@@ -38,6 +39,30 @@ struct StaticWorld {
     ctx.info = &provider;
   }
 };
+
+// The full priority ordering the router used to build and stable-sort on
+// every hop, kept as the reference best_candidate must agree with: every
+// non-excluded candidate, best first (class, then direction index), the
+// reverse of `incoming` left out.
+std::vector<ClassifiedDirection> ordered_candidates(const RoutingContext& ctx, const Coord& u,
+                                                    const Coord& dest, const DirectionSet& used,
+                                                    Direction incoming,
+                                                    const DirectionPolicyOptions& opts) {
+  const Direction return_dir = incoming.is_none() ? Direction::none() : incoming.opposite();
+  std::vector<ClassifiedDirection> out;
+  for (int i = 0; i < ctx.mesh->direction_count(); ++i) {
+    const Direction d = Direction::from_index(i);
+    if (!return_dir.is_none() && d == return_dir) continue;
+    const DirectionClass cls = classify_direction(ctx, u, dest, d, used, opts);
+    if (cls != DirectionClass::kExcluded) out.push_back(ClassifiedDirection{d, cls});
+  }
+  std::stable_sort(out.begin(), out.end(),
+                   [](const ClassifiedDirection& a, const ClassifiedDirection& b) {
+                     if (a.cls != b.cls) return a.cls < b.cls;
+                     return a.dir.index() < b.dir.index();
+                   });
+  return out;
+}
 
 TEST(RoutingHeader, ForwardAndBacktrackMaintainStack) {
   RoutingHeader h(Coord{0, 0}, Coord{3, 3});
@@ -140,6 +165,69 @@ TEST(DirectionPolicy, DetourPreferredDemotedBelowSpares) {
   EXPECT_TRUE(found_detour);
   EXPECT_NE(cands.front().cls, DirectionClass::kPreferredDetour)
       << "something else must outrank the detour direction";
+}
+
+TEST(DirectionPolicy, BestCandidateIsFrontOfReferenceOrdering) {
+  // Seeded worlds over mesh, torus and cmesh in 2-D and 3-D, each with
+  // random node faults stabilized into blocks (and their limited-global
+  // information placed) plus random dead links; at random nodes, random
+  // used sets and incoming directions, with and without block information,
+  // the one-pass choice must equal the reference ordering's front — or both
+  // must be empty.
+  int by_class[5] = {};
+  for (const std::string kind : {"mesh", "torus", "cmesh"}) {
+    for (const int dims : {2, 3}) {
+      const int radix = dims == 2 ? 10 : 6;
+      std::unique_ptr<Topology> mesh;
+      if (kind == "mesh") mesh = std::make_unique<MeshTopology>(dims, radix);
+      if (kind == "torus") mesh = std::make_unique<TorusTopology>(dims, radix);
+      if (kind == "cmesh") mesh = std::make_unique<CMeshTopology>(dims, radix, 2);
+      for (const uint64_t seed : {1u, 2u, 3u}) {
+        SCOPED_TRACE(kind + " dims=" + std::to_string(dims) + " seed=" + std::to_string(seed));
+        Rng rng(seed * 7919 + static_cast<uint64_t>(dims));
+        const int fault_count = static_cast<int>(mesh->node_count() / 12);
+        const StatusField field =
+            stabilized_field(*mesh, random_fault_placement(*mesh, fault_count, rng));
+        const InformationPlacement placement =
+            compute_information_placement(*mesh, block_boxes(field));
+        const StoreInfoProvider provider(placement.store);
+        const int dirs = mesh->direction_count();
+        const auto below = [&rng](long long n) { return rng.next_below(static_cast<uint64_t>(n)); };
+        const auto any_node = [&] { return static_cast<NodeId>(below(mesh->node_count())); };
+        const auto any_dir = [&] { return Direction::from_index(static_cast<int>(below(dirs))); };
+        LinkFaultMask links(*mesh);
+        for (long long k = 0; k < mesh->node_count() / 8; ++k) {
+          const NodeId from = any_node();
+          links.fail(from, any_dir());
+        }
+        const RoutingContext ctx{mesh.get(), &field, &provider, &links};
+
+        for (int sample = 0; sample < 400; ++sample) {
+          const Coord u = mesh->coord_of(any_node());
+          const Coord dest = mesh->coord_of(any_node());
+          const double used_density = 0.3 * static_cast<double>(rng.next_below(4));
+          DirectionSet used;
+          for (int i = 0; i < dirs; ++i)
+            if (rng.bernoulli(used_density)) used.insert(Direction::from_index(i));
+          const Direction incoming = rng.bernoulli(0.25) ? Direction::none() : any_dir();
+          DirectionPolicyOptions opts;
+          opts.use_block_info = rng.bernoulli(0.5);
+
+          const auto ref = ordered_candidates(ctx, u, dest, used, incoming, opts);
+          const ClassifiedDirection best = best_candidate(ctx, u, dest, used, incoming, opts);
+          if (ref.empty()) {
+            ASSERT_EQ(best.cls, DirectionClass::kExcluded) << "u=" << u.to_string();
+          } else {
+            ASSERT_EQ(best, ref.front()) << "u=" << u.to_string() << " dest=" << dest.to_string();
+          }
+          ++by_class[static_cast<int>(best.cls)];
+        }
+      }
+    }
+  }
+  // Every outcome, including the rare detour-only choice, was exercised.
+  for (int c = 0; c < 5; ++c)
+    EXPECT_GT(by_class[c], 0) << to_string(static_cast<DirectionClass>(c));
 }
 
 TEST(Routing, FaultFreeDeliversMinimal) {
